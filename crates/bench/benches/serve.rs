@@ -3,13 +3,14 @@
 //! event loop with the cache on and off, and the sharded storm's
 //! staged-then-drained throughput at 1/2/4 workers (the
 //! `exp_throughput` binary runs the same shape at scale and publishes
-//! `BENCH_serve.json`).
+//! `BENCH_serve.json`), plus the CRC32 verify every storage read pays
+//! before its bytes enter the cache.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use tbm_blob::{ByteSpan, MemBlobStore};
 use tbm_codec::dct::DctParams;
-use tbm_core::BlobId;
+use tbm_core::{crc32, BlobId};
 use tbm_db::MediaDb;
 use tbm_interp::capture::capture_video_scalable;
 use tbm_interp::Interpretation;
@@ -74,6 +75,21 @@ fn bench_cache_paths(c: &mut Criterion) {
             black_box(cache.bytes_cached())
         })
     });
+    g.finish();
+}
+
+fn bench_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checksum/crc32");
+    // The layer sizes a CIF element's scalable layers take (~1.5-6.5 KB).
+    for &len in &[1_536usize, 3_712, 6_528] {
+        let layer: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(len), &layer, |b, layer| {
+            b.iter(|| black_box(crc32(black_box(layer))))
+        });
+    }
     g.finish();
 }
 
@@ -212,6 +228,7 @@ fn bench_throughput(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache_paths,
+    bench_checksum,
     bench_broadcast,
     bench_throughput
 );

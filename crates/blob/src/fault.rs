@@ -134,7 +134,12 @@ const TAG_CORRUPT_POS: u64 = 4;
 const TAG_TRUNCATE: u64 = 5;
 const TAG_LATENCY: u64 = 6;
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 finalizer: a cheap, well-mixed `u64 -> u64` hash.
+///
+/// Storage fault plans, retry jitter and the serving fleet's link jitter
+/// and loss all draw from this one function; callers keep their streams
+/// apart by feeding it different seeds, not by copying it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -429,7 +434,10 @@ impl RetryPolicy {
     /// The backoff actually charged for retry number `attempt` given a
     /// nominal (doubled) backoff: the nominal value without jitter, or a
     /// seed-deterministic value in `[nominal/2, nominal]` with it.
-    fn jittered(&self, nominal: u64, attempt: u32) -> u64 {
+    ///
+    /// [`RetryPolicy::run`] charges this per retry; loops that step
+    /// simulated time themselves call it directly.
+    pub fn jittered(&self, nominal: u64, attempt: u32) -> u64 {
         match self.jitter_seed {
             None => nominal,
             Some(seed) => {

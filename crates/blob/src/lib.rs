@@ -41,7 +41,9 @@ mod store;
 mod tiered;
 
 pub use error::BlobError;
-pub use fault::{is_transient, FaultPlan, FaultStats, FaultyBlobStore, RetryPolicy, RetryReport};
+pub use fault::{
+    is_transient, splitmix64, FaultPlan, FaultStats, FaultyBlobStore, RetryPolicy, RetryReport,
+};
 pub use file_store::{FileBlobStore, OpenReport, SkipReason};
 pub use mem_store::MemBlobStore;
 pub use span::ByteSpan;

@@ -54,7 +54,7 @@ use crate::{
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
-use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
+use tbm_blob::{splitmix64, BlobStore, MemBlobStore, RetryPolicy};
 use tbm_core::SessionId;
 use tbm_obs::{
     attribute, chrome_trace_to_writer, AttributionReport, Category, MetricsRegistry, SpanId,
@@ -84,17 +84,6 @@ const G_SHARD_SKEW: &str = "shard.skew";
 const METADATA_BYTES_PER_OBJECT: u64 = 512;
 /// Request-plane message size charged against a link per delivery attempt.
 const REQUEST_BYTES: u64 = 256;
-
-/// The same finalizer `tbm-blob`'s fault injector uses, copied rather than
-/// shared: link jitter must not perturb (or be perturbed by) storage fault
-/// draws, so the two keep separate streams of the same generator.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A simulated network link onto one node: bandwidth, propagation delay,
 /// seeded jitter, a seeded loss coin and scripted partition windows.
@@ -172,6 +161,10 @@ impl Link {
     }
 
     /// One uniform draw in `[0, 1)` from the counted stream.
+    ///
+    /// This is the same [`splitmix64`] the storage fault injector draws
+    /// from; link jitter and storage faults stay independent because each
+    /// feeds it its own seed.
     fn draw_unit(&mut self) -> f64 {
         let h = splitmix64(self.seed ^ self.draws.wrapping_mul(0x2545_F491_4F6C_DD1D));
         self.draws += 1;
@@ -1031,7 +1024,7 @@ impl<S: BlobStore> Fleet<S> {
                             attempts: attempt + 1,
                         });
                     }
-                    spent_us += jittered_backoff(&policy, backoff_us, attempt);
+                    spent_us += policy.jittered(backoff_us, attempt);
                     backoff_us = backoff_us.saturating_mul(2).max(1);
                     attempt += 1;
                 }
@@ -1650,26 +1643,6 @@ impl<S: BlobStore> Fleet<S> {
             }
         }
         prev
-    }
-}
-
-/// The backoff actually charged for retry `attempt` under `policy`:
-/// nominal without jitter, seed-deterministic in `[nominal/2, nominal]`
-/// with it — the [`RetryPolicy::jittered`] rule, restated here because the
-/// transport loop steps simulated time itself instead of running inside
-/// [`RetryPolicy::run`].
-fn jittered_backoff(policy: &RetryPolicy, nominal: u64, attempt: u32) -> u64 {
-    match policy.jitter_seed {
-        None => nominal,
-        Some(seed) => {
-            let half = nominal / 2;
-            let spread = nominal - half;
-            if spread == 0 {
-                return nominal;
-            }
-            let h = splitmix64(splitmix64(seed) ^ u64::from(attempt + 1));
-            half + h % (spread + 1)
-        }
     }
 }
 

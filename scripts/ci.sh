@@ -91,6 +91,19 @@ echo "==> serving-bench smoke"
 # workers all have to complete.
 cargo bench -q -p tbm-bench --bench serve -- --profile-time 1 > /dev/null
 
+echo "==> perfbench correctness smoke"
+# The BENCHMARK.json command at a short run length. Each run fails (exit
+# nonzero) on any correctness check: the traced cold_longtail run replays
+# crc32, the segment cache, the time arithmetic and the metrics against
+# the run and cross-checks the storage decorator's counters; both runs
+# check the accounting invariants and the behaviour digest across phases.
+perfbench() {
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --seed 1 --seconds 3 --out target/perfbench-ci "$@" > /dev/null
+}
+perfbench --workload cold_longtail --trace 1
+perfbench --workload hot_flash_crowd --trace 0
+
 echo "==> throughput-suite smoke"
 # exp_throughput at a storm size small enough for CI. The binary itself
 # asserts cross-worker byte-identical stats/metrics and full service;
