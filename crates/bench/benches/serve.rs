@@ -4,7 +4,8 @@
 //! staged-then-drained throughput at 1/2/4 workers (the
 //! `exp_throughput` binary runs the same shape at scale and publishes
 //! `BENCH_serve.json`), plus the CRC32 verify every storage read pays
-//! before its bytes enter the cache.
+//! before its bytes enter the cache and the exact `Rational` time
+//! arithmetic every served element pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,10 +16,11 @@ use tbm_db::MediaDb;
 use tbm_interp::capture::capture_video_scalable;
 use tbm_interp::Interpretation;
 use tbm_media::gen::{render_frames, VideoPattern};
+use tbm_obs::micros;
 use tbm_serve::{
     shard_of, Capacity, Request, Response, SegmentCache, Server, ShardedDb, ShardedServer,
 };
-use tbm_time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_time::{Rational, TimeDelta, TimePoint, TimeSystem};
 
 const SEGMENT: u64 = 4096;
 
@@ -90,6 +92,43 @@ fn bench_checksum(c: &mut Criterion) {
             b.iter(|| black_box(crc32(black_box(layer))))
         });
     }
+    g.finish();
+}
+
+fn bench_rational(c: &mut Criterion) {
+    let mut g = c.benchmark_group("time/rational");
+    // The serve path's operand shapes, at hot_flash_crowd's provisioning:
+    // one shard's storage bandwidth and decode rate (~368 MB/s each, 4x
+    // the busiest shard's demand), a 20 us dispatch overhead, QCIF layers
+    // of ~3 KB, PAL frame deadlines k/25 and playback rates num/den.
+    const BANDWIDTH: i64 = 368_502_400;
+    const DECODE_RATE: i64 = 368_502_400;
+    const OVERHEAD_US: i64 = 20;
+    let layers: Vec<i64> = (0..64).map(|i| 2_400 + (i * 37) % 1_100).collect();
+    let rates = [(1i64, 1i64), (3, 2), (1, 2), (4, 3)];
+    g.throughput(Throughput::Elements(layers.len() as u64));
+    g.bench_function("deadline", |b| {
+        b.iter(|| {
+            let mut acc = Rational::ZERO;
+            for (k, &(num, den)) in (0..layers.len() as i64).zip(rates.iter().cycle()) {
+                let rel = Rational::new(k, 25) * Rational::new(den, num);
+                acc = acc.max(black_box(rel) - Rational::new(1, 25));
+            }
+            acc
+        })
+    });
+    g.bench_function("service_cost", |b| {
+        b.iter(|| {
+            let mut total = 0i64;
+            for &bytes in &layers {
+                let first = Rational::new(black_box(bytes), BANDWIDTH);
+                let mut decode = Rational::new(OVERHEAD_US, 1_000_000);
+                decode += Rational::new(bytes, DECODE_RATE);
+                total += micros(first) + micros(decode) + micros(first + decode);
+            }
+            total
+        })
+    });
     g.finish();
 }
 
@@ -229,6 +268,7 @@ criterion_group!(
     benches,
     bench_cache_paths,
     bench_checksum,
+    bench_rational,
     bench_broadcast,
     bench_throughput
 );

@@ -29,13 +29,14 @@ use std::io;
 use tbm_blob::{BlobStore, MemBlobStore, ReadCtx, RetryPolicy};
 use tbm_core::{crc32, BlobId, SessionId};
 use tbm_db::MediaDb;
+use tbm_interp::StreamInterp;
 use tbm_obs::{
     attribute, chrome_trace_to_writer, micros, AttributionReport, Category, MetricsRegistry,
     SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US, ATTR_ELEMENT_INDEX, ATTR_FAILOVER_US,
     ATTR_INHERITED_US, ATTR_LATENESS_US, ATTR_NODELOSS_US, ATTR_RETRY_US, ATTR_STORAGE_US,
     ATTR_WAIT_US, ELEMENT_SPAN, LATENCY_BUCKETS_US,
 };
-use tbm_player::{demanded_rate, schedule_from_interp, DegradationPolicy, ElementFate};
+use tbm_player::{demanded_rate, schedule_from_interp, DegradationPolicy, ElementFate, ElementJob};
 use tbm_time::{Rational, TimeDelta, TimePoint};
 
 // Registry metric names. Counters mirror the snapshot fields of
@@ -140,6 +141,22 @@ fn admission_discount(
     }
 }
 
+/// The per-element read plans for `jobs`: every placement layer, or the
+/// first `cap` of them, each with its recorded checksum.
+fn serve_plans(stream: &StreamInterp, jobs: &[ElementJob], cap: Option<usize>) -> Vec<ServePlan> {
+    jobs.iter()
+        .map(|j| {
+            let entry = &stream.entries()[j.index];
+            let all = entry.placement.layers();
+            let take = cap.unwrap_or(all.len()).min(all.len()).max(1);
+            ServePlan {
+                spans: all[..take].to_vec(),
+                checksums: entry.checksums.iter().copied().take(take).collect(),
+            }
+        })
+        .collect()
+}
+
 /// A multi-session media delivery engine over a catalog and a BLOB store.
 ///
 /// See the crate docs for the scheduling model. Typical use:
@@ -179,6 +196,12 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     /// this total is never residency-discounted. Identical to `committed`
     /// when cache-aware admission is off.
     committed_decode: Rational,
+    /// Sessions still holding committed capacity (`!released`); kept in
+    /// step by [`Server::release`], so admission counts in O(1).
+    active: usize,
+    /// Slots of the active sessions running under a layer cap
+    /// (`layers_cap.is_some()`), ascending — all the upgrade pass visits.
+    capped: BTreeSet<usize>,
     /// [`SegmentCache::generation`] at the last repricing pass; an
     /// unchanged generation lets the pass be skipped entirely.
     repriced_gen: u64,
@@ -218,6 +241,8 @@ impl<S: BlobStore> Server<S> {
             stall_until: TimePoint::ZERO,
             committed: Rational::ZERO,
             committed_decode: Rational::ZERO,
+            active: 0,
+            capped: BTreeSet::new(),
             repriced_gen: 0,
             upgrade_hold: false,
             forced: BTreeSet::new(),
@@ -603,7 +628,17 @@ impl<S: BlobStore> Server<S> {
 
     /// Runs admission control and, when admitted, creates the session.
     fn open(&mut self, object: &str) -> Result<Response, ServeError> {
-        let active = self.sessions.iter().filter(|s| s.is_active()).count();
+        debug_assert_eq!(
+            self.active,
+            self.sessions.iter().filter(|s| s.is_active()).count()
+        );
+        debug_assert!(self.capped.iter().copied().eq(self
+            .sessions
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_active() && s.layers_cap.is_some())
+            .map(|(slot, _)| slot)));
+        let active = self.active;
         let (interp, stream) = self.db.stream_of(object)?;
         let blob = interp.blob();
         let system = stream.system();
@@ -720,18 +755,7 @@ impl<S: BlobStore> Server<S> {
         } else {
             demand
         };
-        let plans: Vec<ServePlan> = jobs
-            .iter()
-            .map(|j| {
-                let entry = &stream.entries()[j.index];
-                let all = entry.placement.layers();
-                let take = layers.unwrap_or(all.len()).min(all.len()).max(1);
-                ServePlan {
-                    spans: all[..take].to_vec(),
-                    checksums: entry.checksums.iter().copied().take(take).collect(),
-                }
-            })
-            .collect();
+        let plans = serve_plans(stream, &jobs, layers);
 
         let id = SessionId::new(self.session_base + self.sessions.len() as u64);
         let pending: BTreeSet<usize> = (0..jobs.len()).collect();
@@ -765,6 +789,10 @@ impl<S: BlobStore> Server<S> {
             Some(id.raw()),
         );
         self.tracer.attr(span, "object", object.to_owned());
+        self.active += 1;
+        if layers.is_some() {
+            self.capped.insert(self.sessions.len());
+        }
         self.sessions.push(Session {
             id,
             object: object.to_owned(),
@@ -830,14 +858,8 @@ impl<S: BlobStore> Server<S> {
         }
         if s.pending.is_empty() {
             s.state = SessionState::Finished;
-            let demand = s.demand;
-            let charged = s.charged;
             let span = s.span;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
+            self.release(self.slot(id));
             self.tracer.event(
                 "session.play",
                 Category::Session,
@@ -940,15 +962,8 @@ impl<S: BlobStore> Server<S> {
         if state == SessionState::Playing {
             if remaining == 0 {
                 let slot = self.slot(id);
-                let s = &mut self.sessions[slot];
-                s.state = SessionState::Finished;
-                let demand = s.demand;
-                let charged = s.charged;
-                let already = std::mem::replace(&mut s.released, true);
-                if !already {
-                    self.committed -= charged;
-                    self.committed_decode -= demand;
-                }
+                self.sessions[slot].state = SessionState::Finished;
+                self.release(slot);
                 self.tracer.end_span(span, at);
                 self.try_upgrade_sessions(at);
             } else {
@@ -1050,14 +1065,8 @@ impl<S: BlobStore> Server<S> {
         s.state = SessionState::Closed;
         s.epoch += 1;
         let stats = s.stats;
-        let demand = s.demand;
-        let charged = s.charged;
         let span = s.span;
-        let already = std::mem::replace(&mut s.released, true);
-        if !already {
-            self.committed -= charged;
-            self.committed_decode -= demand;
-        }
+        self.release(self.slot(id));
         self.tracer.event(
             "session.close",
             Category::Session,
@@ -1095,15 +1104,9 @@ impl<S: BlobStore> Server<S> {
             s.state = SessionState::Closed;
             s.stats.elements += shed;
             s.stats.dropped += shed;
-            let demand = s.demand;
-            let charged = s.charged;
             let span = s.span;
             let id = s.id;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
+            self.release(idx);
             self.metrics.inc(M_ELEMENTS, shed as u64);
             self.metrics.inc(M_DROPPED, shed as u64);
             self.metrics.inc(M_FAULTS, shed as u64);
@@ -1127,13 +1130,19 @@ impl<S: BlobStore> Server<S> {
         shed_total
     }
 
-    /// Re-admits degraded-fidelity sessions at full fidelity — the recovery
-    /// half of the degraded admission path. A session capped at admission
-    /// (`layers_cap`) is upgraded when the store is fully healthy again
-    /// (every tier breaker closed) *and* the full-fidelity demand fits the
-    /// committed headroom. Runs at every capacity-release point (finish,
-    /// close, empty play/seek) and after every served element, so a breaker
-    /// closing mid-run is picked up without a session event.
+    /// Returns a finished or closed session's committed capacity and takes
+    /// it out of the active count and the capped index — the one place
+    /// `released` flips, so a second call is a no-op.
+    fn release(&mut self, slot: usize) {
+        let s = &mut self.sessions[slot];
+        if !std::mem::replace(&mut s.released, true) {
+            self.committed -= s.charged;
+            self.committed_decode -= s.demand;
+            self.active -= 1;
+            self.capped.remove(&slot);
+        }
+    }
+
     /// Re-derives every active session's storage charge from current cache
     /// residency — the "re-evaluate admitted sessions as residency shifts"
     /// half of cache-aware admission. A session admitted cheaply against a
@@ -1167,6 +1176,16 @@ impl<S: BlobStore> Server<S> {
         }
     }
 
+    /// Re-admits degraded-fidelity sessions at full fidelity — the recovery
+    /// half of the degraded admission path. A capped session (`layers_cap`)
+    /// is upgraded when the store is fully healthy again (every tier
+    /// breaker closed) *and* the full-fidelity demand fits the committed
+    /// headroom. Runs at every capacity-release point (finish, close, empty
+    /// play/seek) and after every served element, so a breaker closing
+    /// mid-run is picked up without a session event. The pass walks the
+    /// capped index in ascending slot order, not every session the server
+    /// ever opened, so with nothing capped it returns after one empty-set
+    /// check.
     fn try_upgrade_sessions(&mut self, now: TimePoint) {
         // If cache residency shifted since the last pass, reprice every
         // active session's storage charge first, so the upgrade checks
@@ -1180,94 +1199,114 @@ impl<S: BlobStore> Server<S> {
         if self.capacity.policy == AdmissionPolicy::AdmitAll {
             return; // AdmitAll never degrades, so there is nothing to lift
         }
-        if !self
-            .sessions
+        if self
+            .capped
             .iter()
-            .any(|s| s.is_active() && s.layers_cap.is_some() && !s.pending.is_empty())
+            .all(|&slot| self.sessions[slot].pending.is_empty())
         {
             return;
         }
         if self.db.store().health_percent() < 100 {
             return; // a tier is still open; keep sessions on the cheap path
         }
-        for idx in 0..self.sessions.len() {
-            let (object, new_demand) = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_none() || s.pending.is_empty() {
-                    continue;
-                }
-                let (num, den) = s.rate;
-                let new_demand = s.full_unit_demand * Rational::new(num as i64, den as i64);
-                // Upgrades gate at the full, undiscounted demand even under
-                // cache-aware admission (conservative: the layers an upgrade
-                // adds are exactly the ones least likely to be resident);
-                // the charge actually booked below is discounted.
-                if !self.capacity.fits_staged(
-                    self.committed - s.charged,
-                    self.committed_decode - s.demand,
-                    new_demand,
-                    new_demand,
-                ) {
-                    continue;
-                }
-                (s.object.clone(), new_demand)
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
+        let mut from = 0;
+        while let Some(&idx) = self.capped.range(from..).next() {
+            from = idx + 1;
+            let s = &self.sessions[idx];
+            if s.pending.is_empty() {
                 continue;
-            };
-            let jobs = schedule_from_interp(stream, None);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    ServePlan {
-                        spans: entry.placement.layers().to_vec(),
-                        checksums: entry.checksums.clone(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
-                continue; // catalog reshaped under the session; keep the cap
             }
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
-            };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = None;
-            s.decision = AdmitDecision::Admitted;
-            s.unit_demand = s.full_unit_demand;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.metrics.inc(M_UPGRADED, 1);
-            self.tracer.event(
-                "session.upgrade",
-                Category::Session,
-                now,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                // Re-anchor and requeue the remaining elements under the
-                // full-fidelity byte demands; queued jobs of the old epoch
-                // go stale, exactly as for Seek/SetRate.
-                self.sessions[idx].anchor(now);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
+            let (num, den) = s.rate;
+            let new_demand = s.full_unit_demand * Rational::new(num as i64, den as i64);
+            // Upgrades gate at the full, undiscounted demand even under
+            // cache-aware admission (conservative: the layers an upgrade
+            // adds are exactly the ones least likely to be resident); the
+            // charge `replan` books is discounted.
+            if self.capacity.fits_staged(
+                self.committed - s.charged,
+                self.committed_decode - s.demand,
+                new_demand,
+                new_demand,
+            ) {
+                self.replan(idx, None, now);
             }
         }
+    }
+
+    /// Re-plans session `idx` at `cap` layers per element (`None` = full
+    /// fidelity) and re-prices it: swaps in the new jobs and plans,
+    /// rebalances both committed totals, keeps the capped index, counts the
+    /// upgrade (or forced degrade), records it at `at`, and re-anchors the
+    /// remaining elements — queued jobs of the old epoch go stale, exactly
+    /// as for Seek/SetRate. Returns `false`, changing nothing, when the
+    /// catalog reshaped under the session or a cap would shed nothing from
+    /// a single-layer stream.
+    fn replan(&mut self, idx: usize, cap: Option<usize>, at: TimePoint) -> bool {
+        let Ok((_, stream)) = self.db.stream_of(&self.sessions[idx].object) else {
+            return false;
+        };
+        if cap.is_some()
+            && !stream
+                .entries()
+                .iter()
+                .any(|e| e.placement.layer_count() > 1)
+        {
+            return false; // nothing to shed on a single-layer stream
+        }
+        let jobs = schedule_from_interp(stream, cap);
+        let plans = serve_plans(stream, &jobs, cap);
+        let s = &mut self.sessions[idx];
+        if jobs.len() != s.jobs.len() {
+            return false; // catalog reshaped under the session; keep the plan
+        }
+        let unit = match cap {
+            None => s.full_unit_demand,
+            Some(_) => demanded_rate(&jobs, stream.system()).unwrap_or(Rational::ZERO),
+        };
+        let (num, den) = s.rate;
+        let new_demand = unit * Rational::new(num as i64, den as i64);
+        let new_charged = if self.capacity.cache_aware {
+            new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
+        } else {
+            new_demand
+        };
+        self.committed = self.committed - s.charged + new_charged;
+        self.committed_decode = self.committed_decode - s.demand + new_demand;
+        s.jobs = jobs;
+        s.plans = plans;
+        s.layers_cap = cap;
+        s.unit_demand = unit;
+        s.demand = new_demand;
+        s.charged = new_charged;
+        let (remaining, id, span) = (s.pending.len(), s.id, s.span);
+        let (event, metric) = match cap {
+            None => {
+                s.decision = AdmitDecision::Admitted;
+                self.capped.remove(&idx);
+                ("session.upgrade", M_UPGRADED)
+            }
+            Some(layers) => {
+                s.decision = AdmitDecision::Degraded { layers };
+                self.capped.insert(idx);
+                ("session.force_degrade", M_FORCED)
+            }
+        };
+        self.metrics.inc(metric, 1);
+        self.tracer.event(
+            event,
+            Category::Session,
+            at,
+            span,
+            Some(id.raw()),
+            vec![("remaining", remaining.into())],
+        );
+        if self.sessions[idx].state == SessionState::Playing {
+            self.sessions[idx].anchor(at);
+            self.enqueue_next(id);
+        } else {
+            self.sessions[idx].epoch += 1;
+        }
+        true
     }
 
     /// Forces every active full-fidelity session with work left onto its
@@ -1285,79 +1324,15 @@ impl<S: BlobStore> Server<S> {
         let at = at.max(self.clock);
         let mut count = 0usize;
         for idx in 0..self.sessions.len() {
-            let object = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_some() || s.pending.is_empty() {
-                    continue;
-                }
-                s.object.clone()
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
+            let s = &self.sessions[idx];
+            if !s.is_active() || s.layers_cap.is_some() || s.pending.is_empty() {
                 continue;
-            };
-            if !stream
-                .entries()
-                .iter()
-                .any(|e| e.placement.layer_count() > 1)
-            {
-                continue; // nothing to shed on a single-layer stream
             }
-            let system = stream.system();
-            let jobs = schedule_from_interp(stream, Some(1));
-            let base_unit = demanded_rate(&jobs, system).unwrap_or(Rational::ZERO);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    let all = entry.placement.layers();
-                    ServePlan {
-                        spans: all.iter().take(1).cloned().collect(),
-                        checksums: entry.checksums.iter().copied().take(1).collect(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
-                continue; // catalog reshaped under the session; leave it
+            let id = s.id.raw();
+            if self.replan(idx, Some(1), at) {
+                self.forced.insert(id);
+                count += 1;
             }
-            let (num, den) = s.rate;
-            let new_demand = base_unit * Rational::new(num as i64, den as i64);
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
-            };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = Some(1);
-            s.decision = AdmitDecision::Degraded { layers: 1 };
-            s.unit_demand = base_unit;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.forced.insert(id.raw());
-            self.metrics.inc(M_FORCED, 1);
-            self.tracer.event(
-                "session.force_degrade",
-                Category::Session,
-                at,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                self.sessions[idx].anchor(at);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
-            }
-            count += 1;
         }
         count
     }
@@ -1377,68 +1352,13 @@ impl<S: BlobStore> Server<S> {
             let Some(idx) = self.checked_slot(SessionId::new(raw)) else {
                 continue;
             };
-            let object = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_none() || s.pending.is_empty() {
-                    continue;
-                }
-                s.object.clone()
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
-                continue;
-            };
-            let jobs = schedule_from_interp(stream, None);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    ServePlan {
-                        spans: entry.placement.layers().to_vec(),
-                        checksums: entry.checksums.clone(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
+            let s = &self.sessions[idx];
+            if !s.is_active() || s.layers_cap.is_none() || s.pending.is_empty() {
                 continue;
             }
-            let (num, den) = s.rate;
-            let new_demand = s.full_unit_demand * Rational::new(num as i64, den as i64);
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
-            };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = None;
-            s.decision = AdmitDecision::Admitted;
-            s.unit_demand = s.full_unit_demand;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.metrics.inc(M_UPGRADED, 1);
-            self.tracer.event(
-                "session.upgrade",
-                Category::Session,
-                at,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                self.sessions[idx].anchor(at);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
+            if self.replan(idx, None, at) {
+                count += 1;
             }
-            count += 1;
         }
         self.try_upgrade_sessions(at);
         count
@@ -1752,14 +1672,8 @@ impl<S: BlobStore> Server<S> {
         s.pending.remove(&job.pos);
         if s.pending.is_empty() {
             s.state = SessionState::Finished;
-            let demand = s.demand;
-            let charged = s.charged;
             let root = s.span;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
+            self.release(idx);
             self.tracer.end_span(root, ready);
         }
         // After every served element: a finished session just released

@@ -12,7 +12,9 @@
 //! Contents:
 //!
 //! * [`Rational`] — reduced `i64/i64` rationals with overflow-checked
-//!   arithmetic (via `i128` intermediates).
+//!   arithmetic that cancels common factors before it multiplies, using one
+//!   64-bit binary gcd; `i128` holds only the products, and an operation
+//!   overflows exactly when its reduced result leaves `i64/i64`.
 //! * [`TimeSystem`] — Definition 2's `D_f`, with exact tick↔seconds and
 //!   tick↔tick conversion between systems.
 //! * [`TimePoint`] / [`TimeDelta`] — continuous time values in seconds.

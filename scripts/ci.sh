@@ -92,17 +92,20 @@ echo "==> serving-bench smoke"
 cargo bench -q -p tbm-bench --bench serve -- --profile-time 1 > /dev/null
 
 echo "==> perfbench correctness smoke"
-# The BENCHMARK.json command at a short run length. Each run fails (exit
-# nonzero) on any correctness check: the traced cold_longtail run replays
-# crc32, the segment cache, the time arithmetic and the metrics against
-# the run and cross-checks the storage decorator's counters; both runs
-# check the accounting invariants and the behaviour digest across phases.
+# The BENCHMARK.json command at a short run length, traced on both
+# workloads. Each run fails (exit nonzero) on any correctness check: it
+# replays crc32, the segment cache, the time arithmetic and the metrics
+# against the run and cross-checks the storage decorator's counters; the
+# time replay recomputes every element's Rational cost, deadline and
+# lateness from its real operands and checks them against the element
+# spans. Both runs check the accounting invariants and the behaviour
+# digest across phases.
 perfbench() {
     cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
         --seed 1 --seconds 3 --out target/perfbench-ci "$@" > /dev/null
 }
 perfbench --workload cold_longtail --trace 1
-perfbench --workload hot_flash_crowd --trace 0
+perfbench --workload hot_flash_crowd --trace 1
 
 echo "==> throughput-suite smoke"
 # exp_throughput at a storm size small enough for CI. The binary itself
